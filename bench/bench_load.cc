@@ -14,10 +14,16 @@
 // batching is only allowed to change *when* a pair is scored, never
 // its value.
 //
-// Note: this container exposes a single CPU, so submitters, the
-// batcher, and scorer workers time-slice one core; absolute QPS is
-// modest and the interesting output is the *shape* — saturation at
-// 1x capacity, shedding instead of collapse at overload.
+// Latency is read from the server's admit/complete stamps
+// (serve::RunLoad), so it does not depend on when a submitter gets
+// round to collecting a result. The JSON records its provenance: git
+// sha (and whether the tree had uncommitted changes), nproc, compiler,
+// build type and flags. Submitters, the batcher and scorer workers
+// share the host's cores, so absolute QPS depends on the machine; the
+// shape — saturation, shedding instead of collapse at overload — is
+// what carries across hosts.
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -55,6 +61,53 @@ struct LoadBenchConfig {
   serve::ServerOptions server;
   std::string metrics_out;
 };
+
+/// First line of `command`'s output, or "" when it fails.
+std::string FirstLineOf(const std::string& command) {
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char line[256] = {0};
+  const bool read = std::fgets(line, sizeof(line), pipe) != nullptr;
+  const int status = pclose(pipe);
+  if (!read || status != 0) return "";
+  std::string out(line);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+/// Where a BENCH_load.json came from: the source tree's git sha (or
+/// "unknown" outside a git checkout), whether it had uncommitted
+/// changes, and the machine and build that produced it.
+struct Provenance {
+  std::string git_sha;
+  bool git_dirty = false;
+  long nproc = 0;
+#if defined(__clang__)
+  std::string compiler = __VERSION__;
+#else
+  std::string compiler = "gcc " __VERSION__;
+#endif
+  std::string build_type = HYGNN_BUILD_TYPE;
+  std::string flags = HYGNN_CXX_FLAGS;
+};
+
+Provenance CollectProvenance() {
+  Provenance provenance;
+  const std::string git =
+      std::string("git -C '") + HYGNN_SOURCE_DIR + "' ";
+  provenance.git_sha = FirstLineOf(git + "rev-parse HEAD 2>/dev/null");
+  if (provenance.git_sha.empty()) {
+    provenance.git_sha = "unknown";
+  } else {
+    provenance.git_dirty = !FirstLineOf(
+        git + "status --porcelain --untracked-files=no 2>/dev/null")
+                                .empty();
+  }
+  provenance.nproc = sysconf(_SC_NPROCESSORS_ONLN);
+  return provenance;
+}
 
 /// Closed-loop capacity probe: one submitter, blocking Score,
 /// back-to-back. The sustained rate with zero queueing is the
@@ -150,11 +203,11 @@ int RunLoadBench(const LoadBenchConfig& config,
   const bool bit_identical = VerifyBitIdentity(&server, serial, pool);
 
   const double capacity_qps = MeasureCapacityQps(&server, pool);
+  const Provenance provenance = CollectProvenance();
   std::printf("load bench: %d drugs, %d-pair requests, workers=%d "
-              "max_batch=%d max_wait_us=%lld queue=%d\n",
+              "max_batch=%d queue=%d\n",
               config.num_drugs, config.pairs_per_request,
               config.server.workers, config.server.max_batch,
-              static_cast<long long>(config.server.max_wait_us),
               config.server.queue_capacity);
   std::printf("  closed-loop capacity: %.0f req/s\n", capacity_qps);
   std::printf("  bit_identical vs serial: %s\n",
@@ -292,18 +345,25 @@ int RunLoadBench(const LoadBenchConfig& config,
   }
   std::fprintf(file,
                "{\n  \"bench\": \"load\",\n"
+               "  \"provenance\": {\"git_sha\": \"%s\", "
+               "\"git_dirty\": %s, \"nproc\": %ld, "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"flags\": \"%s\"},\n"
                "  \"num_drugs\": %d,\n  \"pairs_per_request\": %d,\n"
                "  \"workers\": %d,\n  \"max_batch\": %d,\n"
-               "  \"max_wait_us\": %lld,\n  \"queue_capacity\": %d,\n"
+               "  \"queue_capacity\": %d,\n"
                "  \"submitters\": %d,\n"
                "  \"capacity_qps\": %.1f,\n"
                "  \"bit_identical\": %s,\n"
                "  \"levels\": [\n",
-               config.num_drugs, config.pairs_per_request,
-               config.server.workers, config.server.max_batch,
-               static_cast<long long>(config.server.max_wait_us),
-               config.server.queue_capacity, config.submitters,
-               capacity_qps, bit_identical ? "true" : "false");
+               provenance.git_sha.c_str(),
+               provenance.git_dirty ? "true" : "false", provenance.nproc,
+               provenance.compiler.c_str(), provenance.build_type.c_str(),
+               provenance.flags.c_str(), config.num_drugs,
+               config.pairs_per_request, config.server.workers,
+               config.server.max_batch, config.server.queue_capacity,
+               config.submitters, capacity_qps,
+               bit_identical ? "true" : "false");
   const auto write_report = [file](const serve::LoadReport& report,
                                    int64_t timeout_us, bool last) {
     std::fprintf(file,
@@ -394,7 +454,6 @@ int main(int argc, char** argv) {
       *out = std::stoi(arg.substr(prefix.size()));
       return true;
     };
-    int32_t max_wait = -1;
     if (arg.rfind("--json_out=", 0) == 0) {
       json_path = arg.substr(std::string("--json_out=").size());
     } else if (arg.rfind("--metrics_out=", 0) == 0) {
@@ -408,8 +467,6 @@ int main(int argc, char** argv) {
                int_flag("workers", &config.server.workers) ||
                int_flag("max_batch", &config.server.max_batch) ||
                int_flag("queue_capacity", &config.server.queue_capacity)) {
-    } else if (int_flag("max_wait_us", &max_wait)) {
-      config.server.max_wait_us = max_wait;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 1;

@@ -34,7 +34,7 @@
 //                            # counters, per-op kernel times as JSONL
 //   hygnn_cli serve-load --drugs_csv drugs.csv --mode espf
 //       --model model.bin --qps 500 --seconds 2
-//       [--workers N --max_batch N --max_wait_us N --queue_capacity N]
+//       [--workers N --max_batch N --queue_capacity N]
 //       [--pairs_per_request N --submitters N --seed N]
 //       [--metrics_out f]    # adds serve.server.* queue-wait/batch-size
 //                            # /score-latency histograms to the JSONL
@@ -355,8 +355,8 @@ int CmdScreen(const core::FlagParser& flags) {
 /// --retry resubmits shed requests with jittered backoff.
 int CmdServeLoad(const core::FlagParser& flags) {
   if (auto s = flags.RequireKnown(KnownFlags(
-          {"model", "queue_capacity", "max_batch", "max_wait_us", "workers",
-           "qps", "seconds", "pairs_per_request", "submitters", "seed",
+          {"model", "queue_capacity", "max_batch", "workers", "qps",
+           "seconds", "pairs_per_request", "submitters", "seed",
            "timeout_us", "retry", "metrics_out"}));
       !s.ok()) {
     return Fail(s);
@@ -379,7 +379,6 @@ int CmdServeLoad(const core::FlagParser& flags) {
   options.queue_capacity =
       static_cast<int32_t>(flags.GetInt("queue_capacity", 256));
   options.max_batch = static_cast<int32_t>(flags.GetInt("max_batch", 64));
-  options.max_wait_us = flags.GetInt("max_wait_us", 1000);
   options.workers = static_cast<int32_t>(flags.GetInt("workers", 2));
   serve::Server server(&hygnn, &store, options);
   if (auto s = server.Start(); !s.ok()) return Fail(s);
@@ -426,11 +425,9 @@ int CmdServeLoad(const core::FlagParser& flags) {
   const auto stats = server.stats();
 
   std::printf("serve-load: offered %.0f req/s for %.1fs "
-              "(workers=%d max_batch=%d max_wait_us=%lld queue=%d)\n",
+              "(workers=%d max_batch=%d queue=%d)\n",
               report.offered_qps, report.duration_seconds, options.workers,
-              options.max_batch,
-              static_cast<long long>(options.max_wait_us),
-              options.queue_capacity);
+              options.max_batch, options.queue_capacity);
   std::printf("  requests %llu (%llu attempts)  completed %llu  shed %llu  "
               "failed %llu  expired %llu\n",
               static_cast<unsigned long long>(report.submitted),

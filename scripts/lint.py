@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Repository convention linter (run by scripts/check.sh and CI).
 
-Checks, over *tracked* files only (git ls-files):
+Checks, over *tracked* files only (git ls-files; outside a git checkout,
+e.g. a `git archive` tree, over every file under the repo root except
+hidden directories and build artifacts, so rule 5 has nothing to find):
   1. include guards match the file path (HYGNN_<PATH>_H_, src/ stripped)
   2. no `using namespace` in headers
   3. every .cc under src/ is listed in its directory's CMakeLists.txt
@@ -48,6 +50,7 @@ the bit-identity guarantee survives concurrent code):
 Exits 0 when clean, 1 with one line per violation otherwise.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -163,10 +166,32 @@ DISCIPLINE_RULES = (
 
 
 def tracked_files():
-    out = subprocess.run(
-        ["git", "ls-files"], cwd=REPO, check=True, capture_output=True,
-        text=True)
+    try:
+        out = subprocess.run(
+            ["git", "ls-files"], cwd=REPO, check=True, capture_output=True,
+            text=True)
+    except (OSError, subprocess.CalledProcessError):
+        return walked_files()
     return [line for line in out.stdout.splitlines() if line]
+
+
+def walked_files():
+    """Every file under REPO, for trees without git. Hidden directories
+    (.git, .bench_build, ...) and build artifacts are skipped: without
+    git there is no telling them from what a checkout would track."""
+    def is_artifact(path):
+        return any(pat.search(path) for pat in BUILD_ARTIFACT_PATTERNS)
+
+    files = []
+    for dirpath, dirnames, filenames in os.walk(REPO):
+        rel_dir = Path(dirpath).relative_to(REPO).as_posix()
+        prefix = "" if rel_dir == "." else rel_dir + "/"
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if not d.startswith(".") and not is_artifact(prefix + d + "/"))
+        files.extend(prefix + name for name in sorted(filenames)
+                     if not is_artifact(prefix + name))
+    return files
 
 
 def expected_guard(path):

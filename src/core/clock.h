@@ -8,12 +8,13 @@ namespace hygnn::core {
 
 /// Monotonic time-source seam, mirroring the core::FileSystem seam
 /// (src/core/fs.h): every *semantic* time read in the library — request
-/// deadlines, batching windows, retry backoff sleeps — goes through the
-/// active Clock, so tests can swap in a ManualClock and drive "time
-/// passes" deterministically instead of sleeping and hoping the
-/// scheduler cooperates. Purely observational timing (obs histograms,
+/// deadlines, request admit/complete stamps, retry backoff sleeps — goes
+/// through the active Clock, so tests can swap in a ManualClock and
+/// drive "time passes" deterministically instead of sleeping and hoping
+/// the scheduler cooperates. Purely observational timing (obs histograms,
 /// bench timers) stays on obs::Timer / obs::NowNanos — metrics may
-/// jitter, semantics may not.
+/// jitter, semantics may not — except where a histogram is derived from
+/// a request's own seam stamps (serve.server.queue_wait_us).
 ///
 /// Living in src/core keeps the one raw steady_clock read inside the
 /// sanctioned home of lint rule 10 (scripts/lint.py): callers never

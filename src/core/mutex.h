@@ -83,8 +83,8 @@ class CondVar {
   /// false on timeout, true when notified (or woken spuriously) — so
   /// callers still loop on their predicate and treat the return value
   /// only as "did the deadline pass". Non-positive timeouts return
-  /// false immediately without blocking. The dynamic batcher in
-  /// serve::Server uses this to close a batch at max-wait-μs.
+  /// false immediately without blocking. serve::Server::Pending::WaitFor
+  /// uses this to bound a caller's wait for its result.
   bool WaitFor(Mutex& mu, int64_t timeout_us) HYGNN_REQUIRES(mu);
 
   void NotifyOne() { cv_.notify_one(); }

@@ -20,7 +20,9 @@ namespace {
 /// One submitter's view of an in-flight request.
 struct Outstanding {
   std::shared_ptr<Server::Pending> pending;
-  uint64_t submit_nanos = 0;
+  /// Time from the first attempt to the accepted one (retry backoff);
+  /// 0 when the first attempt was admitted.
+  uint64_t retry_nanos = 0;
 };
 
 /// Tally one submitter accumulates locally (merged after join, so the
@@ -39,14 +41,21 @@ struct SubmitterTally {
 
 /// Pops every finished request off the front of `outstanding`,
 /// recording its latency. `blocking` waits for all of them (drain).
+/// Latency comes from the server's admit and complete stamps (plus any
+/// retry backoff before admission), not from when this submitter gets
+/// round to reaping: it reaps only between paced submissions, so a
+/// reap-time stamp would read max(latency, pacing interval).
 void Reap(std::deque<Outstanding>* outstanding, SubmitterTally* tally,
           bool blocking) {
   while (!outstanding->empty()) {
     Outstanding& front = outstanding->front();
     if (!blocking && !front.pending->done()) break;
     const auto result = front.pending->Wait();
+    const Server::Pending& pending = *front.pending;
     const double latency_us =
-        static_cast<double>(obs::NowNanos() - front.submit_nanos) / 1e3;
+        static_cast<double>(pending.completed_nanos() -
+                            pending.admitted_nanos() + front.retry_nanos) /
+        1e3;
     if (result.ok()) {
       ++tally->completed;
       tally->latencies_us.push_back(latency_us);
@@ -136,7 +145,9 @@ LoadReport RunLoad(Server* server, std::span<const ScoreRequest> requests,
             ++tally.attempts;
             auto pending = server->SubmitAsync(request);
             if (pending.ok()) {
-              outstanding.push_back({std::move(pending).value(), now});
+              outstanding.push_back(
+                  {std::move(pending).value(),
+                   attempt > 1 ? obs::NowNanos() - now : 0});
               if (attempt > 1) ++tally.retried_ok;
               break;
             }

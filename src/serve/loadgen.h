@@ -40,10 +40,12 @@ struct LoadConfig {
   uint64_t retry_seed = 0x9e3779b97f4a7c15ULL;
 };
 
-/// What one offered-load level produced. Latency is end-to-end
-/// (submit to response observed) in microseconds; percentiles are
-/// exact order statistics over every completed request, not histogram
-/// interpolations.
+/// What one offered-load level produced. Latency is end-to-end in
+/// microseconds: from the request's first submission attempt to the
+/// server delivering its result (Server::Pending's admit and complete
+/// stamps on the server's core::Clock, plus any retry backoff before
+/// admission). Percentiles are exact order statistics over every
+/// completed request, not histogram interpolations.
 struct LoadReport {
   double offered_qps = 0.0;
   double duration_seconds = 0.0;
@@ -80,10 +82,9 @@ struct LoadReport {
 /// Drives `server` at config.offered_qps for config.duration_seconds.
 /// Submitters draw requests round-robin from `requests` (read-only,
 /// shared; must be non-empty and outlive the call) and submit copies.
-/// The server must be started. Completion is observed opportunistically
-/// after each send and at drain, so a recorded latency can overstate
-/// the true one by up to one pacing interval — negligible at overload,
-/// where queueing dominates.
+/// The server must be started. Submitters reap finished requests after
+/// each send and at drain; since latency comes from the server's
+/// stamps, when a submitter reaps does not change it.
 LoadReport RunLoad(Server* server, std::span<const ScoreRequest> requests,
                    const LoadConfig& config);
 

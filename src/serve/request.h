@@ -32,8 +32,8 @@ struct ScoreRequest {
   /// (core::ActiveClock) at SubmitAsync and never scores an expired
   /// request — it completes with DeadlineExceeded instead, checked both
   /// when its batch closes and again after scoring, so a waiter never
-  /// outlives its deadline by more than one batch window. Negative
-  /// values are rejected with InvalidArgument.
+  /// outlives its deadline by more than one batch's service time.
+  /// Negative values are rejected with InvalidArgument.
   int64_t timeout_us = 0;
 };
 
@@ -81,21 +81,20 @@ struct ScreenResponse {
   std::vector<ScreeningHit> hits;
 };
 
-/// Tuning knobs for serve::Server. The defaults favor latency: small
-/// batches, sub-millisecond batching waits.
+/// Tuning knobs for serve::Server. Batching is work-conserving and has
+/// no window to tune: an idle worker closes its batch on whatever is
+/// queued right now, so batches grow only while workers are busy and
+/// requests pile up.
 struct ServerOptions {
   /// Maximum requests queued awaiting a worker. Admission control:
   /// a Submit against a full queue is shed immediately with
   /// ResourceExhausted rather than blocking the caller.
   int32_t queue_capacity = 256;
-  /// A batch closes once it holds at least this many pairs (a single
-  /// request larger than max_batch still forms one batch — requests
-  /// are never split).
+  /// A batch closes once it holds at least this many pairs, or as soon
+  /// as the queue is empty, whichever comes first (a single request
+  /// larger than max_batch still forms one batch — requests are never
+  /// split).
   int32_t max_batch = 64;
-  /// A batch also closes once it has been open this long, so a lone
-  /// request never waits for company that may not come. Zero disables
-  /// waiting entirely (every batch is whatever is queued right now).
-  int64_t max_wait_us = 1000;
   /// Scorer worker threads draining the queue. They share one
   /// EmbeddingStore cache; each batch is scored on the worker that
   /// closed it.
@@ -122,10 +121,6 @@ struct ServerOptions {
     if (max_batch < 1) {
       return core::Status::InvalidArgument(
           "max_batch must be >= 1, got " + std::to_string(max_batch));
-    }
-    if (max_wait_us < 0) {
-      return core::Status::InvalidArgument(
-          "max_wait_us must be >= 0, got " + std::to_string(max_wait_us));
     }
     if (workers < 1) {
       return core::Status::InvalidArgument(

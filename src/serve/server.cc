@@ -78,9 +78,15 @@ bool Server::Pending::done() const {
   return done_;
 }
 
+uint64_t Server::Pending::completed_nanos() const {
+  core::MutexLock lock(mutex_);
+  return completed_nanos_;
+}
+
 void Server::Pending::Complete(core::Result<ScoreResponse> result) {
   core::MutexLock lock(mutex_);
   HYGNN_DCHECK(!done_) << "request completed twice";
+  completed_nanos_ = clock_->NowNanos();
   result_.emplace(std::move(result));
   done_ = true;
   done_cv_.NotifyAll();
@@ -166,13 +172,13 @@ core::Result<std::shared_ptr<Server::Pending>> Server::SubmitAsync(
   }
   const uint64_t now_nanos = clock_->NowNanos();
   auto pending =
-      std::shared_ptr<Pending>(new Pending(std::move(request)));
+      std::shared_ptr<Pending>(new Pending(std::move(request), clock_));
+  pending->admitted_nanos_ = now_nanos;
   if (pending->request_.timeout_us > 0) {
     pending->deadline_nanos_ =
         now_nanos +
         static_cast<uint64_t>(pending->request_.timeout_us) * 1000;
   }
-  if (obs::MetricsEnabled()) pending->enqueue_nanos_ = obs::NowNanos();
   {
     core::MutexLock lock(mutex_);
     if (shutdown_) {
@@ -308,45 +314,22 @@ void Server::WorkerLoop() {
 
 std::vector<std::shared_ptr<Server::Pending>> Server::NextBatch() {
   std::vector<std::shared_ptr<Pending>> batch;
-  const bool record = obs::MetricsEnabled();
   obs::Histogram* queue_wait_us =
-      record ? GetServerMetrics().queue_wait_us : nullptr;
+      obs::MetricsEnabled() ? GetServerMetrics().queue_wait_us : nullptr;
   int64_t total_pairs = 0;
-  uint64_t open_nanos = 0;
-  // The pop-expire-record steps are written out at both sites below
-  // rather than factored into a lambda: Thread Safety Analysis cannot
-  // see through lambda bodies, and queue_ is GUARDED_BY(mutex_).
   core::MutexLock lock(mutex_);
-  // Open the batch with the oldest *live* request. Requests whose
+  // Work-conserving: this worker is idle, so it takes what is queued
+  // right now — up to max_batch pairs — and closes the batch the moment
+  // the queue is empty instead of waiting for company. Requests whose
   // deadline passed while they queued are completed with
-  // DeadlineExceeded right here — promptly, not parked until the next
-  // batch happens to close (CompleteExpiredRequest only takes the
-  // Pending's own lock; no path acquires mutex_ after it, so the
-  // nested acquisition cannot deadlock).
+  // DeadlineExceeded right here and never join the batch
+  // (CompleteExpiredRequest only takes the Pending's own lock; no path
+  // acquires mutex_ after it, so the nested acquisition cannot
+  // deadlock). If every queued request had expired, wait for more.
   while (batch.empty()) {
     while (queue_.empty() && !shutdown_) queue_nonempty_.Wait(mutex_);
     if (queue_.empty()) return batch;  // shutdown && drained
-    std::shared_ptr<Pending> pending = std::move(queue_.front());
-    queue_.pop_front();
-    if (pending->deadline_nanos_ != 0 &&
-        clock_->NowNanos() >= pending->deadline_nanos_) {
-      CompleteExpiredRequest(pending);
-      continue;
-    }
-    total_pairs += static_cast<int64_t>(pending->request_.pairs.size());
-    open_nanos = clock_->NowNanos();
-    if (queue_wait_us != nullptr && pending->enqueue_nanos_ != 0) {
-      queue_wait_us->Observe(
-          static_cast<double>(obs::NowNanos() - pending->enqueue_nanos_) /
-          1e3);
-    }
-    batch.push_back(std::move(pending));
-  }
-  // Dynamic batching: keep the batch open until it holds max_batch
-  // pairs or has been open max_wait_us, whichever comes first. A
-  // shutdown closes it immediately so draining stays fast.
-  while (total_pairs < options_.max_batch) {
-    if (!queue_.empty()) {
+    while (!queue_.empty() && total_pairs < options_.max_batch) {
       std::shared_ptr<Pending> pending = std::move(queue_.front());
       queue_.pop_front();
       if (pending->deadline_nanos_ != 0 &&
@@ -355,25 +338,14 @@ std::vector<std::shared_ptr<Server::Pending>> Server::NextBatch() {
         continue;
       }
       total_pairs += static_cast<int64_t>(pending->request_.pairs.size());
-      if (queue_wait_us != nullptr && pending->enqueue_nanos_ != 0) {
+      if (queue_wait_us != nullptr) {
         queue_wait_us->Observe(
-            static_cast<double>(obs::NowNanos() -
-                                pending->enqueue_nanos_) /
+            static_cast<double>(clock_->NowNanos() -
+                                pending->admitted_nanos_) /
             1e3);
       }
       batch.push_back(std::move(pending));
-      continue;
     }
-    if (shutdown_) break;
-    const int64_t elapsed_us =
-        static_cast<int64_t>((clock_->NowNanos() - open_nanos) / 1000);
-    const int64_t remaining_us = options_.max_wait_us - elapsed_us;
-    if (remaining_us <= 0) break;
-    // Wakeup (true) re-checks the queue and the seam clock; a real-time
-    // timeout (false) closes the batch outright — under a ManualClock
-    // the seam's elapsed time never advances on its own, and the batch
-    // window must still be bounded in wall time.
-    if (!queue_nonempty_.WaitFor(mutex_, remaining_us)) break;
   }
   return batch;
 }

@@ -29,18 +29,21 @@ namespace hygnn::serve {
 ///
 ///   submitters ──> bounded MPMC queue ──> dynamic batcher ──> workers
 ///                  (admission control)    (close a batch on    (shared
-///                   shed when full         max-size or          store
-///                   ResourceExhausted)     max-wait-μs)         cache)
+///                   shed when full         max-size or an       store
+///                   ResourceExhausted)     empty queue)         cache)
 ///
 /// * Admission control: SubmitAsync validates the request against the
 ///   catalog, then enqueues — or sheds immediately with a typed
 ///   ResourceExhausted when queue_capacity requests are already
 ///   waiting. Overload degrades to fast typed errors, never to
 ///   unbounded queue growth or blocked submitters.
-/// * Dynamic batching: a worker opens a batch with the oldest queued
-///   request and keeps appending requests until the batch holds
-///   max_batch pairs or has been open max_wait_us microseconds,
-///   whichever comes first. Requests are never split across batches.
+/// * Work-conserving batching: an idle worker opens a batch with the
+///   oldest live queued request, appends whatever else is already
+///   queued until the batch holds max_batch pairs, and closes it the
+///   moment the queue is empty — it never waits for company. Batches
+///   therefore grow only while the workers are busy and requests pile
+///   up, which is when batching pays; a lone request is scored at
+///   once. Requests are never split across batches.
 /// * Determinism: a batch is scored by concatenating its requests'
 ///   pairs into one PairScorer::ScorePairs call. The scorer's fixed
 ///   chunk partition and row-independent decoder make every per-request
@@ -64,7 +67,7 @@ namespace hygnn::serve {
 ///   and never enters the batch) and again after scoring (the deadline
 ///   passed mid-batch — the stale score is withheld and the typed
 ///   error delivered instead). A waiter therefore never outlives its
-///   deadline by more than one batch window.
+///   deadline by more than one batch's service time.
 /// * Deadline-aware admission: once the batch-service-time EWMA warms
 ///   up, a request that cannot make its deadline through the current
 ///   queue (estimate = ewma_us * (depth + 1) / workers) is shed at
@@ -117,10 +120,19 @@ class Server {
     /// True once the result is available; Wait will not block.
     bool done() const;
 
+    /// Admission time on the server's core::Clock seam.
+    uint64_t admitted_nanos() const { return admitted_nanos_; }
+
+    /// Time on the server's core::Clock seam at which the result was
+    /// delivered; 0 until done(). completed_nanos() - admitted_nanos()
+    /// is the request's latency inside the server, however late its
+    /// submitter looks at the result.
+    uint64_t completed_nanos() const;
+
    private:
     friend class Server;
-    explicit Pending(ScoreRequest request)
-        : request_(std::move(request)) {}
+    Pending(ScoreRequest request, core::Clock* clock)
+        : request_(std::move(request)), clock_(clock) {}
 
     void Complete(core::Result<ScoreResponse> result);
 
@@ -128,17 +140,19 @@ class Server {
     /// worker that batches it; never mutated after that hand-off, so
     /// reads from the scoring path need no lock.
     ScoreRequest request_;
-    /// Absolute monotonic deadline (core::Clock nanos) stamped at
-    /// admission; 0 when the request carries no deadline. Like
-    /// request_, immutable after the submit hand-off.
+    /// The server's clock seam; Complete stamps completed_nanos_ on it.
+    core::Clock* const clock_;
+    /// Admission time and absolute monotonic deadline (core::Clock
+    /// nanos), both stamped at admission; the deadline is 0 when the
+    /// request carries none. Like request_, immutable after the submit
+    /// hand-off.
+    uint64_t admitted_nanos_ = 0;
     uint64_t deadline_nanos_ = 0;
-    /// Enqueue timestamp (obs::NowNanos) for the queue-wait histogram;
-    /// 0 when metrics were off at submit time.
-    uint64_t enqueue_nanos_ = 0;
 
     mutable core::Mutex mutex_;
     core::CondVar done_cv_;
     bool done_ HYGNN_GUARDED_BY(mutex_) = false;
+    uint64_t completed_nanos_ HYGNN_GUARDED_BY(mutex_) = 0;
     std::optional<core::Result<ScoreResponse>> result_
         HYGNN_GUARDED_BY(mutex_);
   };
@@ -224,7 +238,8 @@ class Server {
   /// when shutdown is signalled and the queue is drained.
   void WorkerLoop() HYGNN_EXCLUDES(mutex_);
 
-  /// Blocks for the next batch (dynamic batching rules above).
+  /// Blocks until the queue holds a request, then closes a batch on
+  /// what is queued (work-conserving batching rules above).
   /// Requests whose deadline passed while queued are completed with
   /// DeadlineExceeded here instead of joining the batch. Empty means
   /// shutdown-and-drained: the worker should exit.

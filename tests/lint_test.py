@@ -9,11 +9,14 @@ stops matching breaks THIS test instead of silently un-gating the repo.
 Run directly (python3 tests/lint_test.py) or via ctest (lint_test).
 """
 
+import contextlib
 import importlib.util
+import io
 import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -121,6 +124,58 @@ class BuildArtifactTest(unittest.TestCase):  # rule 5
     def test_quiet_on_sources(self):
         self.assertEqual([], self.run_check(
             ["src/core/rng.cc", "CMakeLists.txt", "scripts/check.sh"]))
+
+
+class UntrackedTreeTest(unittest.TestCase):
+    """Outside a git checkout (a `git archive` tree, or no git binary)
+    lint.py walks the tree instead of dying on `git ls-files`."""
+
+    def make_tree(self, root):
+        (root / "src" / "core").mkdir(parents=True)
+        (root / "src" / "core" / "CMakeLists.txt").write_text(
+            "add_library(c a.cc)\n")
+        (root / "src" / "core" / "a.cc").write_text("int x;\n")
+        # Build trees and hidden directories are not source.
+        (root / "build" / "CMakeFiles").mkdir(parents=True)
+        (root / "build" / "CMakeCache.txt").write_text("")
+        (root / ".bench_build").mkdir()
+        (root / ".bench_build" / "b.cc").write_text("std::mt19937 g;\n")
+
+    def lint_tree(self, root):
+        """(files lint.py sees, main()'s exit code) with REPO = root."""
+        original = lint.REPO
+        lint.REPO = root
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return lint.tracked_files(), lint.main()
+        finally:
+            lint.REPO = original
+
+    def test_walks_a_tree_without_dot_git(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            self.make_tree(root)
+            files, code = self.lint_tree(root)
+            self.assertEqual(
+                ["src/core/CMakeLists.txt", "src/core/a.cc"], files)
+            self.assertEqual(0, code)
+            # The walked files are still linted.
+            (root / "src" / "core" / "a.cc").write_text("assert(x);\n")
+            self.assertEqual(1, self.lint_tree(root)[1])
+
+    def test_walks_the_tree_when_git_is_missing(self):
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(lint.subprocess, "run", no_git):
+            root = Path(tmp)
+            self.make_tree(root)
+            files, code = self.lint_tree(root)
+            self.assertEqual(
+                ["src/core/CMakeLists.txt", "src/core/a.cc"], files)
+            self.assertEqual(0, code)
 
 
 class NoRawLoopsTest(unittest.TestCase):  # rule 6

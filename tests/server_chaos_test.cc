@@ -16,12 +16,15 @@
 //     hang nothing — pinned under tsan and asan by scripts/check.sh;
 //   * an expired waiter in a *failed* batch still gets its typed
 //     DeadlineExceeded, never the batch error;
-//   * stats() never transiently reports completed > accepted.
+//   * stats() never transiently reports completed > accepted;
+//   * serve::RunLoad reads latency from the server's admit/complete
+//     stamps, not from when its submitter reaps the request.
 //
 // Raw std::thread is fine here (tests are exempt from the
 // thread_pool-only lint rule).
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -38,6 +41,7 @@
 #include "hygnn/model.h"
 #include "serve/chaos.h"
 #include "serve/embedding_store.h"
+#include "serve/loadgen.h"
 #include "serve/request.h"
 #include "serve/retry.h"
 #include "serve/scoring.h"
@@ -116,13 +120,11 @@ class ServerChaosTest : public ::testing::Test {
         << what << ": served scores differ bitwise from serial";
   }
 
-  /// One worker, greedy batching (max_wait 0 closes a batch as soon as
-  /// the queue empties), chaos hook installed: the canonical
-  /// deterministic chaos configuration.
+  /// One worker (batches close as soon as the queue empties), chaos
+  /// hook installed: the canonical deterministic chaos configuration.
   static ServerOptions ChaosOptions(FaultInjectingScorer* chaos) {
     ServerOptions options;
     options.workers = 1;
-    options.max_wait_us = 0;
     options.chaos = chaos;
     return options;
   }
@@ -515,6 +517,44 @@ TEST_F(ServerChaosTest, StatsNeverReportMoreCompletedThanAccepted) {
   server.Shutdown();
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, stats.accepted);
+}
+
+TEST_F(ServerChaosTest, LoadLatencyExcludesTimeBetweenCompletionAndReap) {
+  // Regression: RunLoad stamped latency when its submitter reaped a
+  // request, which it does only after sleeping until its next due
+  // submission, so every latency read at least one pacing interval.
+  core::ManualClock manual;
+  core::ScopedClock scoped(&manual);
+  FaultInjectingScorer chaos;
+  // The second request's batch fails, so the first request's latency
+  // is the only one sampled.
+  chaos.FailNthBatch(2, core::Status::Internal("injected scorer crash"));
+  Server server(model_, store_, ChaosOptions(&chaos));
+  ASSERT_TRUE(server.Start().ok());
+  // Once the first request completes, a second of clock time passes
+  // before its submitter, asleep until its next slot, reaps it.
+  std::thread advancer([&server, &manual] {
+    while (server.stats().completed == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    manual.AdvanceMicros(1000000);
+  });
+  // One submitter, two requests 250 ms of real time apart.
+  LoadConfig load;
+  load.offered_qps = 4.0;
+  load.duration_seconds = 0.5;
+  load.submitters = 1;
+  const auto requests = MakeRequests(1);
+  const LoadReport report = RunLoad(&server, requests, load);
+  advancer.join();
+  server.Shutdown();
+  EXPECT_EQ(report.submitted, 2u);
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.failed, 1u);
+  // Admitted and completed at the same clock time: neither the clock
+  // second nor the real 250 ms before the reap is latency.
+  EXPECT_EQ(report.p50_us, 0.0);
+  EXPECT_EQ(report.p99_us, 0.0);
 }
 
 // ---------------------------------------------------------------------

@@ -118,11 +118,10 @@ class ServerSwapTest : public ::testing::Test {
         << what << ": scores differ bitwise across the swap";
   }
 
-  /// One worker, greedy batching, chaos hook installed.
+  /// One worker, chaos hook installed.
   static ServerOptions ChaosOptions(FaultInjectingScorer* chaos) {
     ServerOptions options;
     options.workers = 1;
-    options.max_wait_us = 0;
     options.chaos = chaos;
     return options;
   }

@@ -1,6 +1,8 @@
-// serve::Server pipeline tests: admission control, dynamic batching
-// determinism (per-request results bit-identical to serial scoring for
-// every batch composition), shutdown drain, and typed errors.
+// serve::Server pipeline tests: admission control, work-conserving
+// batching (an idle worker scores at once; what queues while it is busy
+// coalesces), determinism (per-request results bit-identical to serial
+// scoring for every batch composition), shutdown drain, and typed
+// errors.
 //
 // Raw std::thread is fine here (tests are exempt from the
 // thread_pool-only lint rule) and is used deliberately so submitter
@@ -19,6 +21,7 @@
 #include "data/generator.h"
 #include "graph/builders.h"
 #include "hygnn/model.h"
+#include "serve/chaos.h"
 #include "serve/embedding_store.h"
 #include "serve/request.h"
 #include "serve/scoring.h"
@@ -128,16 +131,9 @@ TEST_F(ServerTest, OptionsValidateNamesEachBadKnob) {
   s = bad_batch.Validate();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("-3"), std::string::npos);
-  ServerOptions bad_wait;
-  bad_wait.max_wait_us = -1;
-  EXPECT_FALSE(bad_wait.Validate().ok());
   ServerOptions bad_workers;
   bad_workers.workers = 0;
   EXPECT_FALSE(bad_workers.Validate().ok());
-  // Zero wait is a real configuration (greedy batching), not an error.
-  ServerOptions zero_wait;
-  zero_wait.max_wait_us = 0;
-  EXPECT_TRUE(zero_wait.Validate().ok());
 }
 
 TEST_F(ServerTest, StartSurfacesInvalidOptions) {
@@ -205,17 +201,14 @@ TEST_F(ServerTest, BatchCompositionNeverChangesScoresBitwise) {
   const auto requests = MakeRequests(24);
   const auto serial = SerialScores(requests);
 
-  // Three adversarial batching regimes: every request alone
-  // (max_batch=1), everything coalesced (huge batch + long wait), and
-  // a multi-worker scramble. All must reproduce serial bit-for-bit.
-  std::vector<ServerOptions> regimes(3);
+  // Two adversarial batching regimes: every request alone
+  // (max_batch=1) and a multi-worker scramble. Both must reproduce
+  // serial bit-for-bit. Full coalescing is pinned deterministically by
+  // CoalescesWhatQueuedWhileTheWorkerWasBusy.
+  std::vector<ServerOptions> regimes(2);
   regimes[0].max_batch = 1;
-  regimes[0].max_wait_us = 0;
-  regimes[1].max_batch = 4096;
-  regimes[1].max_wait_us = 5000;
-  regimes[2].max_batch = 8;
-  regimes[2].max_wait_us = 100;
-  regimes[2].workers = 4;
+  regimes[1].max_batch = 8;
+  regimes[1].workers = 4;
 
   for (size_t regime = 0; regime < regimes.size(); ++regime) {
     Server server(model_, store_, regimes[regime]);
@@ -243,6 +236,84 @@ TEST_F(ServerTest, BatchCompositionNeverChangesScoresBitwise) {
   }
 }
 
+TEST_F(ServerTest, CoalescesWhatQueuedWhileTheWorkerWasBusy) {
+  // Nine requests of eight pairs: the first stalls batch 1, and the
+  // eight queued behind it fill exactly one default max_batch (64).
+  const int32_t n = store_->num_drugs();
+  std::vector<ScoreRequest> requests(9);
+  for (int32_t r = 0; r < 9; ++r) {
+    for (int32_t i = 0; i < 8; ++i) {
+      requests[static_cast<size_t>(r)].pairs.push_back(
+          {(r * 5 + i) % n, (r * 13 + i * 7 + 1) % n, 0.0f});
+    }
+  }
+  const auto serial = SerialScores(requests);
+
+  FaultInjectingScorer chaos;
+  chaos.StallNthBatch(1);
+  ServerOptions options;
+  options.chaos = &chaos;
+  Server server(model_, store_, options);
+  ASSERT_TRUE(server.Start().ok());
+  // Batch 1 is the first request alone, parked on the stall: the idle
+  // worker closed it at once rather than waiting for company.
+  std::vector<std::shared_ptr<Server::Pending>> pendings;
+  auto first = server.SubmitAsync(requests[0]);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  pendings.push_back(std::move(first).value());
+  chaos.AwaitStalled();
+  // Everything queued while the worker is busy forms one batch.
+  for (size_t r = 1; r < requests.size(); ++r) {
+    auto pending = server.SubmitAsync(requests[r]);
+    ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+    pendings.push_back(std::move(pending).value());
+  }
+  chaos.ReleaseStall();
+  for (size_t r = 0; r < pendings.size(); ++r) {
+    auto result = pendings[r]->Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitIdentical(result.value().scores, serial[r],
+                       "request " + std::to_string(r));
+  }
+  server.Shutdown();
+  EXPECT_EQ(server.stats().batches, 2u);
+  EXPECT_EQ(server.stats().completed, requests.size());
+}
+
+TEST_F(ServerTest, LoneClosedLoopRequestFormsItsOwnBatch) {
+  const auto requests = MakeRequests(3);
+  const auto serial = SerialScores(requests);
+  Server server(model_, store_, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    auto result = server.Score(requests[r]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitIdentical(result.value().scores, serial[r],
+                       "request " + std::to_string(r));
+    EXPECT_EQ(server.stats().batches, r + 1);
+  }
+  server.Shutdown();
+}
+
+TEST_F(ServerTest, PendingStampsAdmitAndCompleteOnTheClockSeam) {
+  core::ManualClock manual(5000);
+  core::ScopedClock scoped(&manual);
+  Server server(model_, store_, ServerOptions{});
+  auto pending = server.SubmitAsync(MakeRequests(1)[0]);
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  EXPECT_EQ(pending.value()->admitted_nanos(), 5000u);
+  EXPECT_EQ(pending.value()->completed_nanos(), 0u);
+  manual.AdvanceMicros(700);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(pending.value()->Wait().ok());
+  // Time that passes after delivery does not move the stamp.
+  manual.AdvanceMicros(9000);
+  EXPECT_EQ(pending.value()->completed_nanos() -
+                pending.value()->admitted_nanos(),
+            700000u);
+  server.Shutdown();
+}
+
 TEST_F(ServerTest, ConcurrentSubmittersEachGetTheirOwnScores) {
   const int32_t kThreads = 4;
   const int32_t kPerThread = 16;
@@ -252,7 +323,6 @@ TEST_F(ServerTest, ConcurrentSubmittersEachGetTheirOwnScores) {
   ServerOptions options;
   options.workers = 2;
   options.max_batch = 16;
-  options.max_wait_us = 200;
   Server server(model_, store_, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -282,11 +352,7 @@ TEST_F(ServerTest, ConcurrentSubmittersEachGetTheirOwnScores) {
 }
 
 TEST_F(ServerTest, ShutdownDrainsEveryAcceptedRequest) {
-  ServerOptions options;
-  // A long batching wait: shutdown must cut it short and still score
-  // everything already admitted.
-  options.max_wait_us = 5000;
-  Server server(model_, store_, options);
+  Server server(model_, store_, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   const auto requests = MakeRequests(12);
   std::vector<std::shared_ptr<Server::Pending>> pendings;
